@@ -104,8 +104,8 @@ class StreamFilter {
     }
   }
 
-  /// Batched twin of MarkOnline for the online runtime's
-  /// batch-collection stage. The default loops MarkOnline — which keeps
+  /// Batched twin of MarkOnline for the online runtime's shard-side
+  /// micro-batching (OnlineConfig::batch_size). The default loops MarkOnline — which keeps
   /// position-salted filters (random shedding) exactly deterministic —
   /// and network filters override it to batch the trunk forward while
   /// still applying each window's own threshold boost.

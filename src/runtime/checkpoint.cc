@@ -61,6 +61,7 @@ class Reader {
 
   bool Read(void* out, size_t n) {
     if (n > len_ - pos_) return false;
+    if (n == 0) return true;  // an empty vector's data() may be null
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;

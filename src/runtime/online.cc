@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <deque>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
@@ -24,20 +24,20 @@ namespace {
 constexpr int kMaxSourceRetries = 8;
 constexpr double kSourceBackoffBaseSeconds = 1e-3;
 
-// Burst sizes for the sharded runtime: the router pops up to this many
-// arrivals per ingest-queue lock, and a shard worker pops up to this
-// many window tasks per work-ring lock. Bursts amortize the mutex
+// Burst sizes: the assembler pops up to this many arrivals per
+// ingest-queue lock, and a shard worker pops up to this many window
+// tasks per work-ring lock. Bursts amortize the mutex
 // atomics and futex wakeups; correctness never depends on the values.
-constexpr size_t kRouterIngestBurst = 64;
+constexpr size_t kIngestBurst = 64;
 constexpr size_t kShardWorkBurst = 16;
 
 }  // namespace
 
 /// Per-Run mutable state. Threading contract: the producer thread only
-/// touches `queue` (and its own local counters); pool workers only read
-/// their window's detached EventStream and write the finished DoneWindow
-/// into `done` under `done_mu`; everything else is owned by the
-/// assembler (caller) thread.
+/// touches `queue` (and its own local counters); a shard worker only
+/// touches its own Shard's rings and stats and reads the detached
+/// EventStreams of the windows it marks; everything else is owned by
+/// the assembler (caller) thread.
 struct OnlineDlacep::RunState {
   RunState(size_t queue_capacity, const OverloadConfig& overload,
            const HealthConfig& health)
@@ -66,70 +66,23 @@ struct OnlineDlacep::RunState {
   size_t windows_dispatched = 0;
   size_t last_end = 0;
 
-  // Dispatch → merge handoff. Workers insert under done_mu keyed by
-  // dispatch sequence; the assembler merges strictly in sequence order,
-  // which is what makes the merged mark stream deterministic across
-  // thread counts.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::map<size_t, DoneWindow> done;
-  size_t in_flight = 0;
-  size_t next_merge = 0;
-
-  // Assembler-side shadow of every dispatched-but-unmerged window, so a
-  // deadline abandon can synthesize a quarantined stand-in without the
-  // worker's cooperation. Keyed by dispatch sequence.
-  struct Pending {
-    size_t begin = 0;
-    int level = 0;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-    size_t shard = 0;  ///< owner shard (sharded mode): where to pop from
-  };
-  std::map<size_t, Pending> pending;
-
-  // --- Sharded mode ---------------------------------------------------
-  // One closed window forwarded to its owner shard (the exchange
-  // stage). The level/probe decisions were already taken by the router
-  // at close time; the worker only marks.
-  struct WindowTask {
-    size_t seq = 0;
-    size_t begin = 0;
-    int level = 0;
-    bool probe = false;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-  };
-  // One finished window on a shard's completion ring. A shard's worker
-  // is FIFO over its work ring, so these come off sequence-ordered per
-  // shard — the property the cross-shard merge relies on.
-  struct SeqDone {
-    size_t seq = 0;
-    DoneWindow window;
-  };
+  // Sharded mode: one quarantined stand-in per window dispatched but
+  // not yet merged (in flight), in dispatch order — the front is the
+  // merge line. A deadline abandon merges the stand-in, so it needs no
+  // cooperation from a wedged worker.
+  std::deque<DoneWindow> pending;
   struct Shard {
     Shard(size_t work_capacity, size_t done_capacity)
         : work(work_capacity), done(done_capacity) {}
-    RingQueue<WindowTask> work;  ///< router -> worker (SPSC)
-    RingQueue<SeqDone> done;     ///< worker -> router (SPSC)
+    RingQueue<WindowTask> work;  ///< assembler -> worker (SPSC)
+    /// worker -> assembler (SPSC). The worker is FIFO over its work
+    /// ring, so completions come off sequence-ordered per shard — the
+    /// property the cross-shard merge relies on.
+    RingQueue<DoneWindow> done;
     ShardStats stats;            ///< single-writer fields, read post-join
     std::thread thread;
   };
   std::vector<std::unique_ptr<Shard>> shards;
-
-  // Batch-collection stage (assembler thread only, batch_size > 1):
-  // closed level-0/1 windows waiting to be dispatched together as one
-  // MarkBatchOnline task. Each entry already owns a dispatch sequence
-  // and a Pending shadow — buffering delays the task submission, never
-  // the sequencing, so merge order is identical to solo dispatch.
-  struct BatchedWindow {
-    size_t seq = 0;
-    size_t begin = 0;
-    int level = 0;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-  };
-  std::vector<BatchedWindow> batch;
 
   // Merge products. marked_store is a deque so the Event addresses
   // handed to the extractor stay stable as it grows. `stored` dedups
@@ -188,25 +141,12 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   DLACEP_CHECK_GT(mark_size_, 0u);
   DLACEP_CHECK_GT(step_size_, 0u);
   num_shards_ = config_.num_shards;
-  if (num_shards_ > 0) {
-    // Sharded runtime: one worker thread (spawned per Run) and one
-    // scratch arena per shard; no shared pool.
-    workers_ = num_shards_;
-    hash_ring_ = std::make_unique<ConsistentHashRing>(num_shards_);
-    for (size_t i = 0; i < num_shards_; ++i) {
-      contexts_.push_back(std::make_unique<InferenceContext>());
-    }
-  } else {
-    workers_ = ResolveNumThreads(config_.num_threads);
-    if (workers_ > 1) pool_ = std::make_unique<ThreadPool>(workers_);
-    const size_t context_slots = pool_ != nullptr ? workers_ : 1;
-    for (size_t i = 0; i < context_slots; ++i) {
-      contexts_.push_back(std::make_unique<InferenceContext>());
-    }
+  for (size_t i = 0; i < std::max<size_t>(num_shards_, 1); ++i) {
+    contexts_.push_back(std::make_unique<InferenceContext>());
   }
   max_in_flight_ = config_.max_windows_in_flight != 0
                        ? config_.max_windows_in_flight
-                       : 2 * workers_ + 2;
+                       : 2 * num_shards_ + 2;
 }
 
 void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
@@ -333,264 +273,151 @@ void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
 }
 
 void OnlineDlacep::DrainMerges(RunState* state, size_t target_in_flight) {
-  if (num_shards_ > 0) {
-    DrainMergesSharded(state, target_in_flight);
-    return;
-  }
-  // A buffered-but-undispatched window still counts as in flight, and
-  // the merge line may point straight at it. If this call is going to
-  // wait, dispatch the partial batch first so the wait can terminate.
-  if (state->in_flight > target_in_flight) FlushBatch(state);
   const double deadline =
       config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
-  // Block until enough windows have retired, merging strictly in
-  // dispatch order: the next window in sequence must eventually land in
-  // `done` because every dispatched window completes — or, with a mark
-  // deadline configured, because the assembler abandons it.
-  while (state->in_flight > target_in_flight) {
+  // Past the target, block for the merge line (or abandon it at its
+  // deadline); at or below it, only retire what is already finished,
+  // so merge latency tracks worker completion, not the in-flight bound.
+  while (!state->pending.empty()) {
+    const bool must_merge = state->pending.size() > target_in_flight;
+    DoneWindow& stand_in = state->pending.front();
+    RingQueue<DoneWindow>& ring =
+        state->shards[stand_in.seq % num_shards_]->done;
     DoneWindow window;
     bool have = false;
-    {
-      std::unique_lock<std::mutex> lock(state->done_mu);
-      // A previously abandoned window's real result may arrive late;
-      // anything below the merge line is stale.
-      while (!state->done.empty() &&
-             state->done.begin()->first < state->next_merge) {
-        state->done.erase(state->done.begin());
-      }
-      if (deadline <= 0.0) {
-        state->done_cv.wait(lock, [&] {
-          return state->done.find(state->next_merge) != state->done.end();
-        });
+    for (;;) {
+      bool popped = false;
+      if (!must_merge) {
+        popped = ring.TryPop(&window);
+      } else if (deadline <= 0.0) {
+        popped = ring.Pop(&window);
       } else {
-        while (state->done.find(state->next_merge) == state->done.end()) {
-          const auto pit = state->pending.find(state->next_merge);
-          DLACEP_CHECK(pit != state->pending.end());
-          const double wait_s = pit->second.close_seconds + deadline -
-                                state->watch.ElapsedSeconds();
-          if (wait_s <= 0.0) break;  // overdue: abandon below
-          state->done_cv.wait_for(
-              lock, std::chrono::duration<double>(wait_s));
-        }
+        const double wait_s = stand_in.close_seconds + deadline -
+                              state->watch.ElapsedSeconds();
+        if (wait_s <= 0.0) break;  // overdue: abandon below
+        bool timed_out = false;
+        popped = ring.PopFor(&window, wait_s, &timed_out);
+        if (!popped && timed_out) continue;  // recomputes wait_s
       }
-      auto it = state->done.find(state->next_merge);
-      if (it != state->done.end()) {
-        window = std::move(it->second);
-        state->done.erase(it);
-        have = true;
-      }
+      if (!popped) break;  // nothing finished yet, or ring closed
+      // The late result of a previously abandoned window is stale.
+      if (window.seq < stand_in.seq) continue;
+      // A shard's completions are sequence-increasing and every lower
+      // sequence it owns has already merged or been discarded, so the
+      // first live completion is exactly the merge line.
+      DLACEP_CHECK_EQ(window.seq, stand_in.seq);
+      have = true;
+      break;
     }
     if (!have) {
-      // Deadline abandon: the worker is wedged (or just too slow).
-      // Synthesize a quarantined stand-in from the assembler's shadow;
-      // MergeOne relays its events unfiltered and degrades.
-      const RunState::Pending& p = state->pending.at(state->next_merge);
-      window.begin = p.begin;
-      window.level = p.level;
-      window.close_seconds = p.close_seconds;
-      window.events = p.events;
-      window.timed_out = true;
+      if (!must_merge) break;
+      // Deadline abandon: the worker is wedged (or just too slow). The
+      // stand-in is timed out, so MergeOne relays its events unfiltered
+      // and degrades.
+      window = std::move(stand_in);
     }
-    state->pending.erase(state->next_merge);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-  // Opportunistically retire whatever else is already finished and next
-  // in order, so merge latency tracks worker completion, not the
-  // in-flight bound.
-  for (;;) {
-    DoneWindow window;
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      while (!state->done.empty() &&
-             state->done.begin()->first < state->next_merge) {
-        state->done.erase(state->done.begin());
-      }
-      auto it = state->done.find(state->next_merge);
-      if (it == state->done.end()) break;
-      window = std::move(it->second);
-      state->done.erase(it);
-    }
-    state->pending.erase(state->next_merge);
-    ++state->next_merge;
-    --state->in_flight;
+    state->pending.pop_front();
     MergeOne(state, std::move(window));
   }
 }
 
-void OnlineDlacep::DrainMergesSharded(RunState* state,
-                                      size_t target_in_flight) {
-  const double deadline =
-      config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
-  // The merge line is the global dispatch sequence; the owner shard of
-  // the next sequence was recorded at dispatch. Anything popped below
-  // the line is the late result of a previously abandoned window —
-  // stale, discard.
-  while (state->in_flight > target_in_flight) {
-    auto pit = state->pending.find(state->next_merge);
-    DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[pit->second.shard];
-    DoneWindow window;
-    bool have = false;
-    for (;;) {
-      RunState::SeqDone done;
-      if (deadline <= 0.0) {
-        if (!shard.done.Pop(&done)) break;  // ring closed (shutdown)
-      } else {
-        const double wait_s = pit->second.close_seconds + deadline -
-                              state->watch.ElapsedSeconds();
-        if (wait_s <= 0.0) break;  // overdue: abandon below
-        bool timed_out = false;
-        if (!shard.done.PopFor(&done, wait_s, &timed_out)) {
-          if (timed_out) continue;  // recomputes wait_s, then abandons
-          break;                    // ring closed (shutdown)
-        }
+void OnlineDlacep::MarkWindows(std::span<WindowTask> tasks,
+                               InferenceContext* ctx,
+                               std::vector<DoneWindow>* out,
+                               ShardStats* shard,
+                               size_t shard_index) const {
+  const size_t batch_cap = std::max<size_t>(config_.batch_size, 1);
+  // Normal and boosted windows are batchable — the network filter
+  // applies the boost per window inside MarkBatchOnline. Shed, degraded,
+  // and probe windows mark solo: their marking is trivial or
+  // intentionally separate.
+  auto batchable = [](const WindowTask& t) {
+    return t.level < OverloadController::kMaxLevel && !t.probe;
+  };
+  auto boost = [this](int level) {
+    return level == 1 ? config_.overload.threshold_boost : 0.0;
+  };
+  size_t i = 0;
+  while (i < tasks.size()) {
+    size_t j = i + 1;
+    if (batchable(tasks[i])) {
+      while (j < tasks.size() && j - i < batch_cap && batchable(tasks[j])) {
+        ++j;
       }
-      if (done.seq < state->next_merge) continue;  // stale late result
-      // A shard's completions are sequence-increasing and every lower
-      // sequence it owns has already merged or been discarded, so the
-      // first live completion is exactly the merge line.
-      DLACEP_CHECK_EQ(done.seq, state->next_merge);
-      window = std::move(done.window);
-      have = true;
-      break;
     }
-    if (!have) {
-      // Deadline abandon: synthesize the quarantined stand-in from the
-      // router's shadow, exactly as the pool path does.
-      const RunState::Pending& p = pit->second;
-      window.begin = p.begin;
-      window.level = p.level;
-      window.close_seconds = p.close_seconds;
-      window.events = p.events;
-      window.timed_out = true;
+    Stopwatch mark_watch;
+    obs::TraceSpan mark_span(obs::StageWindowMark());
+    const size_t first = out->size();
+    for (size_t k = i; k < j; ++k) {
+      WindowTask& t = tasks[k];
+      if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
+      DoneWindow window;
+      window.seq = t.seq;
+      window.begin = t.begin;
+      window.level = t.level;
+      window.close_seconds = t.close_seconds;
+      window.events = std::move(t.events);
+      window.probe = t.probe;
+      out->push_back(std::move(window));
     }
-    state->pending.erase(pit);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-  // Opportunistically retire whatever the owner shard of the merge line
-  // has already finished, so merge latency tracks worker completion.
-  while (state->in_flight > 0) {
-    auto pit = state->pending.find(state->next_merge);
-    DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[pit->second.shard];
-    DoneWindow window;
-    bool have = false;
-    RunState::SeqDone done;
-    while (shard.done.TryPop(&done)) {
-      if (done.seq < state->next_merge) continue;  // stale late result
-      DLACEP_CHECK_EQ(done.seq, state->next_merge);
-      window = std::move(done.window);
-      have = true;
-      break;
+    DoneWindow& head = (*out)[first];
+    if (j - i > 1) {
+      std::vector<OnlineWindow> windows;
+      windows.reserve(j - i);
+      for (size_t k = first; k < out->size(); ++k) {
+        const DoneWindow& w = (*out)[k];
+        windows.push_back(
+            OnlineWindow{w.events.get(), w.begin, boost(w.level)});
+      }
+      std::vector<std::vector<int>> marks(j - i);
+      filter_->MarkBatchOnline(windows, ctx, marks.data());
+      for (size_t k = first; k < out->size(); ++k) {
+        (*out)[k].marks = std::move(marks[k - first]);
+      }
+    } else if (head.level == OverloadController::kDegradedLevel) {
+      // Degrade-to-exact: relay everything; the exact CEP engine sees
+      // the unfiltered window (recall 1.0). A probe window additionally
+      // exercises the distrusted filter, output inspected only.
+      head.marks.assign(head.events->size(), 1);
+      if (head.probe) {
+        head.shadow_marks =
+            filter_->MarkOnline(*head.events, head.begin, ctx, 0.0);
+      }
+    } else if (head.level >= OverloadController::kMaxLevel) {
+      const StreamFilter& shed =
+          config_.overload.shedding == SheddingPolicy::kRandom
+              ? static_cast<const StreamFilter&>(random_shed_)
+              : static_cast<const StreamFilter&>(type_shed_);
+      head.marks = shed.MarkOnline(*head.events, head.begin, ctx, 0.0);
+    } else {
+      head.marks = filter_->MarkOnline(*head.events, head.begin, ctx,
+                                       boost(head.level));
     }
-    if (!have) break;
-    state->pending.erase(pit);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
+    mark_span.Finish();
+    if (shard != nullptr) {
+      const double seconds = mark_watch.ElapsedSeconds();
+      shard->mark_seconds += seconds;
+      shard->windows_marked += j - i;
+      ++shard->filter_calls;
+      obs::ShardWindowsMarked(shard_index)->Increment(j - i);
+      obs::ShardMarkLatency(shard_index)->Observe(seconds);
+    }
+    i = j;
   }
 }
 
 void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
   RunState::Shard& shard = *state->shards[shard_index];
-  if (config_.pin_shard_threads) {
-    const size_t cores = ResolveNumThreads(0);
-    shard.stats.pinned = PinCurrentThreadToCore(shard_index % cores);
-  }
+  shard.stats.pinned =
+      PinCurrentThreadToCore(shard_index % ResolveNumThreads(0));
   InferenceContext* ctx = contexts_[shard_index].get();
-  const size_t batch_cap = config_.batch_size > 1 ? config_.batch_size : 1;
-  std::vector<RunState::WindowTask> burst;
-  std::vector<RunState::SeqDone> finished;
+  std::vector<WindowTask> burst;
+  std::vector<DoneWindow> finished;
   for (;;) {
     burst.clear();
     if (shard.work.PopBurst(&burst, kShardWorkBurst) == 0) break;
     finished.clear();
-    finished.reserve(burst.size());
-    size_t i = 0;
-    while (i < burst.size()) {
-      // Shard-side micro-batching: adjacent level-0/1 windows in the
-      // burst mark through one MarkBatchOnline call (the PR 6 batch
-      // collector, moved shard-local — a busy shard's backlog batches
-      // naturally, an idle shard marks solo with no added latency).
-      // Shed, degraded, and probe windows always mark solo, mirroring
-      // the pool path's batch-collection rule.
-      const RunState::WindowTask& head = burst[i];
-      const bool batchable = batch_cap > 1 &&
-                             head.level < OverloadController::kMaxLevel &&
-                             !head.probe;
-      size_t j = i + 1;
-      if (batchable) {
-        while (j < burst.size() && j - i < batch_cap &&
-               burst[j].level < OverloadController::kMaxLevel &&
-               !burst[j].probe) {
-          ++j;
-        }
-      }
-      Stopwatch mark_watch;
-      obs::TraceSpan mark_span(obs::StageWindowMark());
-      if (batchable && j - i > 1) {
-        std::vector<OnlineWindow> windows;
-        windows.reserve(j - i);
-        for (size_t k = i; k < j; ++k) {
-          const RunState::WindowTask& t = burst[k];
-          if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
-          windows.push_back(OnlineWindow{
-              t.events.get(), t.begin,
-              t.level == 1 ? config_.overload.threshold_boost : 0.0});
-        }
-        std::vector<std::vector<int>> marks(j - i);
-        filter_->MarkBatchOnline(windows, ctx, marks.data());
-        for (size_t k = i; k < j; ++k) {
-          RunState::WindowTask& t = burst[k];
-          DoneWindow window;
-          window.begin = t.begin;
-          window.level = t.level;
-          window.close_seconds = t.close_seconds;
-          window.events = std::move(t.events);
-          window.marks = std::move(marks[k - i]);
-          finished.push_back(RunState::SeqDone{t.seq, std::move(window)});
-        }
-      } else {
-        RunState::WindowTask& t = burst[i];
-        if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
-        DoneWindow window;
-        window.begin = t.begin;
-        window.level = t.level;
-        window.close_seconds = t.close_seconds;
-        window.events = t.events;
-        window.probe = t.probe;
-        if (t.level == OverloadController::kDegradedLevel) {
-          window.marks.assign(t.events->size(), 1);
-          if (t.probe) {
-            window.shadow_marks =
-                filter_->MarkOnline(*t.events, t.begin, ctx, 0.0);
-          }
-        } else if (t.level >= OverloadController::kMaxLevel) {
-          const StreamFilter& shed =
-              config_.overload.shedding == SheddingPolicy::kRandom
-                  ? static_cast<const StreamFilter&>(random_shed_)
-                  : static_cast<const StreamFilter&>(type_shed_);
-          window.marks = shed.MarkOnline(*t.events, t.begin, ctx, 0.0);
-        } else {
-          const double boost =
-              t.level == 1 ? config_.overload.threshold_boost : 0.0;
-          window.marks = filter_->MarkOnline(*t.events, t.begin, ctx, boost);
-        }
-        finished.push_back(RunState::SeqDone{t.seq, std::move(window)});
-      }
-      mark_span.Finish();
-      shard.stats.mark_seconds += mark_watch.ElapsedSeconds();
-      shard.stats.windows_marked += j - i;
-      ++shard.stats.filter_calls;
-      obs::ShardWindowsMarked(shard_index)->Increment(j - i);
-      obs::ShardMarkLatency(shard_index)
-          ->Observe(mark_watch.ElapsedSeconds());
-      i = j;
-    }
+    MarkWindows(burst, ctx, &finished, &shard.stats, shard_index);
     shard.done.PushBurst(finished.data(), finished.size());
   }
 }
@@ -612,7 +439,7 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   obs::OverloadLevel()->Set(static_cast<double>(level));
 
   // Probe scheduling is assembler-side (deterministic regardless of
-  // thread count): every probe_period-th degraded window additionally
+  // shard count): every probe_period-th degraded window additionally
   // shadow-marks with the primary filter.
   bool probe = false;
   if (level == OverloadController::kDegradedLevel &&
@@ -623,19 +450,19 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
     }
   }
 
-  // Detach the window into its own EventStream (ids preserved): workers
-  // must never read the assembler's growing buffer, and the copy is
-  // what lets the buffer prune below.
+  // Detach the window into its own EventStream (ids preserved): shard
+  // workers must never read the assembler's growing buffer, and the
+  // copy is what lets the buffer prune below.
   auto events = std::make_shared<EventStream>(state->schema);
   for (size_t i = begin; i < end; ++i) {
     events->AppendArrival(state->buffer[i - state->buffer_offset]);
   }
 
-  // Adaptive engine selection (config.engine == kAdaptive): the router
-  // feeds each closed window into the selector's frequency estimator
-  // right here — before dispatch, on the one thread that closes windows
-  // in both runtimes — so the observation order, the decayed counts,
-  // and every reselection point are deterministic at any shard count.
+  // Adaptive engine selection (config.engine == kAdaptive): the
+  // assembler feeds each closed window into the selector's frequency
+  // estimator right here — before dispatch, on the one thread that
+  // closes windows — so the observation order, the decayed counts, and
+  // every reselection point are deterministic at any shard count.
   // No-op for static engines.
   extractor_.ObserveWindow(
       std::span<const Event>(events->events().data(), events->size()));
@@ -648,129 +475,36 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
     ++state->buffer_offset;
   }
 
-  const double close_seconds = state->watch.ElapsedSeconds();
-  ++state->in_flight;
-  obs::WindowsInFlight()->Set(static_cast<double>(state->in_flight));
-
-  if (num_shards_ > 0) {
-    // Exchange stage: the detached window is forwarded whole to the
-    // shard that owns its head symbol. Occupancy is bounded by
-    // in_flight (capped at max_in_flight_ - 1 by the DrainMerges
-    // above), so the push lands without blocking unless deadline
-    // abandons have piled extra tasks onto a wedged shard — then
-    // blocking here is the intended backpressure.
-    const size_t owner = hash_ring_->ShardFor(WindowRoutingSymbol(*events));
-    state->pending.emplace(seq, RunState::Pending{begin, level,
-                                                  close_seconds, events,
-                                                  owner});
-    RunState::Shard& shard = *state->shards[owner];
-    RunState::WindowTask task{seq,   begin, level,
-                              probe, close_seconds, std::move(events)};
-    const bool accepted = shard.work.Push(std::move(task));
-    DLACEP_CHECK(accepted);
-    ++shard.stats.windows_routed;
-    obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
-    return;
-  }
-  state->pending.emplace(
-      seq, RunState::Pending{begin, level, close_seconds, events});
-
-  // Batch-collection stage: normal and boosted windows (level 0/1) are
-  // batchable — the network filter applies the boost per window inside
-  // MarkBatchOnline. Degraded, probe, and shed windows dispatch solo:
-  // their marking is trivial or intentionally separate, and keeping
-  // them out of the buffer means a degraded run behaves exactly like
-  // batch_size = 1.
-  if (config_.batch_size > 1 && level < OverloadController::kMaxLevel) {
-    state->batch.push_back(
-        RunState::BatchedWindow{seq, begin, level, close_seconds, events});
-    if (state->batch.size() >= config_.batch_size) FlushBatch(state);
+  WindowTask task{seq,   begin, level,
+                  probe, state->watch.ElapsedSeconds(), std::move(events)};
+  if (num_shards_ == 0) {
+    std::vector<DoneWindow> marked;
+    MarkWindows(std::span<WindowTask>(&task, 1), contexts_[0].get(), &marked,
+                /*shard=*/nullptr, 0);
+    MergeOne(state, std::move(marked.front()));
     return;
   }
 
-  auto task = [this, state, seq, begin, level, probe, close_seconds,
-               events] {
-    if (config_.worker_window_hook) config_.worker_window_hook(seq);
-    DoneWindow window;
-    window.begin = begin;
-    window.level = level;
-    window.close_seconds = close_seconds;
-    window.events = events;
-    window.probe = probe;
-    InferenceContext* ctx =
-        contexts_[ThreadPool::CurrentWorkerIndex()].get();
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    if (level == OverloadController::kDegradedLevel) {
-      // Degrade-to-exact: relay everything; the exact CEP engine sees
-      // the unfiltered window (recall 1.0). A probe window additionally
-      // exercises the distrusted filter, output inspected only.
-      window.marks.assign(events->size(), 1);
-      if (probe) {
-        window.shadow_marks = filter_->MarkOnline(*events, begin, ctx, 0.0);
-      }
-    } else if (level >= OverloadController::kMaxLevel) {
-      const StreamFilter& shed =
-          config_.overload.shedding == SheddingPolicy::kRandom
-              ? static_cast<const StreamFilter&>(random_shed_)
-              : static_cast<const StreamFilter&>(type_shed_);
-      window.marks = shed.MarkOnline(*events, begin, ctx, 0.0);
-    } else {
-      const double boost =
-          level == 1 ? config_.overload.threshold_boost : 0.0;
-      window.marks = filter_->MarkOnline(*events, begin, ctx, boost);
-    }
-    mark_span.Finish();
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      state->done.emplace(seq, std::move(window));
-    }
-    state->done_cv.notify_one();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();
-  }
-}
-
-void OnlineDlacep::FlushBatch(RunState* state) {
-  if (state->batch.empty()) return;
-  std::vector<RunState::BatchedWindow> batch;
-  batch.swap(state->batch);
-  auto task = [this, state, batch = std::move(batch)] {
-    std::vector<OnlineWindow> windows;
-    windows.reserve(batch.size());
-    for (const RunState::BatchedWindow& w : batch) {
-      if (config_.worker_window_hook) config_.worker_window_hook(w.seq);
-      windows.push_back(OnlineWindow{
-          w.events.get(), w.begin,
-          w.level == 1 ? config_.overload.threshold_boost : 0.0});
-    }
-    std::vector<std::vector<int>> marks(batch.size());
-    InferenceContext* ctx =
-        contexts_[ThreadPool::CurrentWorkerIndex()].get();
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    filter_->MarkBatchOnline(windows, ctx, marks.data());
-    mark_span.Finish();
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        DoneWindow window;
-        window.begin = batch[i].begin;
-        window.level = batch[i].level;
-        window.close_seconds = batch[i].close_seconds;
-        window.events = batch[i].events;
-        window.marks = std::move(marks[i]);
-        state->done.emplace(batch[i].seq, std::move(window));
-      }
-    }
-    state->done_cv.notify_one();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();
-  }
+  // Round-robin exchange: occupancy is bounded by the windows in flight
+  // (capped at max_in_flight_ - 1 by the DrainMerges above), so the
+  // push lands without blocking unless deadline abandons have piled
+  // extra tasks onto a wedged shard — then blocking here is the
+  // intended backpressure.
+  DoneWindow stand_in;
+  stand_in.seq = seq;
+  stand_in.begin = begin;
+  stand_in.level = level;
+  stand_in.close_seconds = task.close_seconds;
+  stand_in.events = task.events;
+  stand_in.timed_out = true;
+  state->pending.push_back(std::move(stand_in));
+  obs::WindowsInFlight()->Set(static_cast<double>(state->pending.size()));
+  const size_t owner = seq % num_shards_;
+  RunState::Shard& shard = *state->shards[owner];
+  const bool accepted = shard.work.Push(std::move(task));
+  DLACEP_CHECK(accepted);
+  ++shard.stats.windows_routed;
+  obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
 }
 
 void OnlineDlacep::WriteCheckpointNow(RunState* state) {
@@ -887,7 +621,6 @@ Status OnlineDlacep::RestoreFrom(RunState* state, StreamSource* source) {
   state->appended = cs.appended;
   state->next_begin = cs.next_begin;
   state->windows_dispatched = cs.windows_dispatched;
-  state->next_merge = cs.windows_dispatched;  // quiescent at snapshot
   state->last_end = cs.last_end;
   state->buffer_offset = cs.buffer_offset;
   state->buffer.assign(cs.buffer.begin(), cs.buffer.end());
@@ -981,23 +714,21 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   }
 
   // Sharded mode: spawn the shard workers before any window can close.
-  // Without deadline abandons, ring occupancy is bounded by
-  // in_flight <= max_in_flight_, so pushes never block. Abandoned
-  // windows leave in_flight while their task/late-result still occupies
+  // Without deadline abandons, ring occupancy is bounded by the
+  // max_in_flight_ windows in flight, so pushes never block. Abandoned
+  // windows leave `pending` while their task/late result still occupies
   // a ring, so capacity carries 2x slack; if a ring still fills behind
   // a wedged shard, the push blocking IS the backpressure (the merge
   // line keeps advancing via abandons and drains the ring on its next
   // visit).
-  if (num_shards_ > 0) {
-    const size_t ring_capacity = 2 * (max_in_flight_ + 1);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      state.shards.push_back(
-          std::make_unique<RunState::Shard>(ring_capacity, ring_capacity));
-    }
-    for (size_t s = 0; s < num_shards_; ++s) {
-      state.shards[s]->thread =
-          std::thread(&OnlineDlacep::ShardLoop, this, &state, s);
-    }
+  const size_t ring_capacity = 2 * (max_in_flight_ + 1);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    state.shards.push_back(
+        std::make_unique<RunState::Shard>(ring_capacity, ring_capacity));
+  }
+  for (size_t s = 0; s < num_shards_; ++s) {
+    state.shards[s]->thread =
+        std::thread(&OnlineDlacep::ShardLoop, this, &state, s);
   }
 
   // Producer: pull, stamp the arrival id BEFORE the queue (a dropped
@@ -1055,10 +786,7 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
 
   // Assembler loop: a full window closes by watermark the moment its
   // last event arrives — the running prefix of
-  // CountWindows(appended, mark, step). With a partial micro-batch
-  // buffered and a flush timer configured, the pop is bounded by the
-  // oldest buffered window's deadline so a quiet stream can't hold a
-  // window past batch_timeout_ms.
+  // CountWindows(appended, mark, step).
   auto ingest = [&](RunState::Arrival& arrival) {
     if (arrival.pushed_seconds > 0.0) {
       obs::StageQueueWait()->Observe(std::max(
@@ -1077,42 +805,14 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
       state.last_checkpoint = state.appended;
     }
   };
-  if (num_shards_ > 0) {
-    // Router loop: burst-pop arrivals so the ingest queue's lock and
-    // wakeup cost amortize across kRouterIngestBurst events. Shard-side
-    // micro-batching replaces the assembler-side batch collector, so
-    // there is no flush timer to honor here.
-    std::vector<RunState::Arrival> arrivals;
-    arrivals.reserve(kRouterIngestBurst);
-    for (;;) {
-      arrivals.clear();
-      if (state.queue.PopBurst(&arrivals, kRouterIngestBurst) == 0) break;
-      for (RunState::Arrival& arrival : arrivals) ingest(arrival);
-    }
-  } else {
-    RunState::Arrival arrival;
-    const double batch_timeout = config_.batch_timeout_ms * 1e-3;
-    for (;;) {
-      bool got = false;
-      if (state.batch.empty() || batch_timeout <= 0.0) {
-        got = state.queue.Pop(&arrival);
-      } else {
-        const double wait_s = state.batch.front().close_seconds +
-                              batch_timeout - state.watch.ElapsedSeconds();
-        if (wait_s <= 0.0) {
-          FlushBatch(&state);
-          continue;
-        }
-        bool timed_out = false;
-        got = state.queue.PopFor(&arrival, wait_s, &timed_out);
-        if (!got && timed_out) {
-          FlushBatch(&state);
-          continue;
-        }
-      }
-      if (!got) break;
-      ingest(arrival);
-    }
+  // Arrivals are burst-popped so the ingest queue's lock and wakeup
+  // cost amortize across kIngestBurst events.
+  std::vector<RunState::Arrival> arrivals;
+  arrivals.reserve(kIngestBurst);
+  for (;;) {
+    arrivals.clear();
+    if (state.queue.PopBurst(&arrivals, kIngestBurst) == 0) break;
+    for (RunState::Arrival& arrival : arrivals) ingest(arrival);
   }
 
   // End of stream: emit the truncated suffix exactly as CountWindows
@@ -1130,15 +830,11 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     }
   }
   DrainMerges(&state, 0);
-  // All windows are merged, but the worker that produced the last one
-  // may still be inside its done_cv.notify_one() — drain the pool so no
-  // task can touch RunState after Run returns. In sharded mode, close
-  // the work rings (the workers exit once drained) and join.
+  // All windows are merged; close the work rings (the shard workers
+  // exit once drained) and join, so no thread can touch RunState after
+  // Run returns.
   for (auto& shard : state.shards) shard->work.Close();
-  for (auto& shard : state.shards) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
-  if (pool_ != nullptr) pool_->Wait();
+  for (auto& shard : state.shards) shard->thread.join();
   producer.join();
 
   // Final checkpoint at full quiescence (also the abort-path snapshot a
@@ -1183,15 +879,14 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     std::sort(result->quarantined_ids.begin(),
               result->quarantined_ids.end());
   }
+  Status extracted = Status::Ok();
   if (!config_.skip_extraction) {
     extractor_.ResetStats();
     Stopwatch extract_watch;
     std::vector<const Event*> marked;
     marked.reserve(state.marked_store.size());
     for (const Event& e : state.marked_store) marked.push_back(&e);
-    const Status status =
-        extractor_.Extract(std::move(marked), &result->matches);
-    DLACEP_CHECK_MSG(status.ok(), status.ToString());
+    extracted = extractor_.Extract(std::move(marked), &result->matches);
     state.stats.extract_seconds = extract_watch.ElapsedSeconds();
     obs::StageCepEval()->Observe(state.stats.extract_seconds);
     state.stats.cep_partial_matches_dropped =
@@ -1212,7 +907,7 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   result->marked_ids = std::move(state.marked_ids);
   result->stats = std::move(state.stats);
   result->marked_events = result->stats.events_relayed;
-  return Status::Ok();
+  return extracted;
 }
 
 }  // namespace dlacep

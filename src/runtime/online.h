@@ -3,7 +3,7 @@
 //
 //   source ──(producer thread)──▶ bounded ingest queue
 //          ──(assembler)──▶ watermark-closed windows
-//          ──(worker pool)──▶ per-window marks
+//          ──(inline, or round-robin shards)──▶ per-window marks
 //          ──(deterministic in-order merge)──▶ CEP extraction
 //
 // One producer thread pulls events from a StreamSource, assigns arrival
@@ -12,31 +12,29 @@
 // thread runs the assembler: it pops events, closes assembler windows
 // by watermark (a window closes exactly when its last event has
 // arrived, reproducing InputAssembler::Windows / CountWindows window by
-// window), and dispatches each closed window to the shared ThreadPool.
-// Each worker marks with its own nn::InferenceContext scratch arena
-// (the PR-2 tape-free fast path), and the assembler re-merges marks in
-// strict window order, so:
+// window), takes the window's overload/probe decision, and dispatches
+// it. No state carries from one window's marks to the next, so where a
+// window is marked never changes what it marks:
 //
-//   CORRECTNESS CONTRACT (tests/runtime_test.cc): with a lossless
-//   producer and the overload controller disabled or never triggered,
-//   the merged mark sequence, deduplicated relayed-event count, and
-//   extracted MatchSet are byte-identical to DlacepPipeline::Evaluate
-//   on the same stream, for every num_threads setting.
+//   * num_shards = 0: the assembler marks the window inline, with its
+//     own nn::InferenceContext, and merges it before the next window
+//     closes.
+//   * num_shards = N: window `seq` goes to shard seq % N, a worker
+//     thread pinned to a core with its own SPSC work/completion rings
+//     and InferenceContext. The assembler merges strictly by dispatch
+//     sequence; a shard's completion ring is FIFO, so the merge pops
+//     exactly the owner shard's ring for the next sequence.
 //
-// SHARDED MODE (OnlineConfig::num_shards >= 1): the assembler thread
-// becomes a router. Window close stays global and serial (the count
-// geometry is a property of the whole stream), but the marking work is
-// sharded: every closed window is detached and forwarded — the
-// exchange stage — through consistent hashing on its head symbol to an
-// owner shard, each shard being a core-pinned worker thread with its
-// own SPSC work/completion rings and InferenceContext. The router then
-// runs the deterministic cross-shard merge: completions retire
-// strictly by dispatch sequence (the owner of the next sequence is
-// recorded at dispatch; a shard's completion ring is FIFO and hence
-// sequence-ordered), so the correctness contract above holds verbatim
-// at every shard count. Overload, health, probe, and checkpoint
-// decisions all stay on the router, which is what keeps them
-// independent of the shard count.
+// Both paths mark through one routine (MarkWindows), and overload,
+// health, probe, and checkpoint decisions all stay on the assembler,
+// which is what keeps them independent of the shard count:
+//
+//   CORRECTNESS CONTRACT (tests/runtime_test.cc,
+//   tests/sharded_runtime_test.cc): with a lossless producer and the
+//   overload controller disabled or never triggered, the merged mark
+//   sequence, deduplicated relayed-event count, and extracted MatchSet
+//   are byte-identical to DlacepPipeline::Evaluate on the same stream,
+//   at every num_shards and batch_size.
 //
 // An OverloadController watches ingest-queue depth and end-to-end
 // window latency and degrades with hysteresis — raised filter
@@ -69,14 +67,12 @@
 #ifndef DLACEP_RUNTIME_ONLINE_H_
 #define DLACEP_RUNTIME_ONLINE_H_
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dlacep/config.h"
 #include "dlacep/drift.h"
 #include "dlacep/extractor.h"
@@ -87,7 +83,6 @@
 #include "runtime/health.h"
 #include "runtime/overload.h"
 #include "runtime/ring_queue.h"
-#include "runtime/shard.h"
 #include "runtime/source.h"
 #include "runtime/stats.h"
 
@@ -112,53 +107,33 @@ struct OnlineConfig {
   /// RuntimeStats (the emergency regime the paper's §6 discusses).
   bool drop_when_full = false;
 
-  /// Filtration workers, resolved like DlacepConfig::num_threads
-  /// (1 = assembler-inline marking, 0 = hardware concurrency).
-  size_t num_threads = 1;
-
-  /// Windows dispatched but not yet merged before the assembler stops
-  /// popping events. 0 = 2·workers + 2.
+  /// Sharded mode: windows dispatched but not yet merged before the
+  /// assembler stops popping events. 0 = 2·num_shards + 2. Inline
+  /// marking never has a window in flight.
   size_t max_windows_in_flight = 0;
 
   /// Assembler geometry, as in DlacepConfig (0 = paper defaults 2W/W).
   size_t mark_size = 0;
   size_t step_size = 0;
 
-  /// Windows marked per filter call. 1 = dispatch each closed window as
-  /// its own task (the exact legacy path, default). >1: closed windows
-  /// at overload level 0/1 accumulate in an assembler-side micro-batch
-  /// that is dispatched as one MarkBatchOnline task when it reaches
-  /// batch_size, when the oldest buffered window turns batch_timeout_ms
-  /// old, or when the merge line would otherwise block on a buffered
-  /// window. Shed/degraded/probe windows always dispatch solo — their
-  /// marking is not batchable work. Merge order is unchanged (windows
-  /// retire strictly by dispatch sequence), so results stay
-  /// byte-identical to batch_size = 1.
+  /// Sharded mode: up to this many adjacent level-0/1 windows of a
+  /// shard's work burst mark through one MarkBatchOnline call — a busy
+  /// shard's backlog batches naturally, an idle shard marks solo with
+  /// no added latency. Shed, degraded, and probe windows always mark
+  /// solo. 1 = per-window marking (default). Inline marking handles one
+  /// window at a time, so it never batches. Merge order is dispatch
+  /// order, so results stay byte-identical at every batch_size.
   size_t batch_size = 1;
-  /// Maximum age (milliseconds) of the oldest buffered window before a
-  /// partial batch is flushed anyway — the cap on the latency a window
-  /// can pay for batching below capacity. <= 0 disables the timer:
-  /// partial batches then flush only on a full batch, merge pressure,
-  /// or end of stream.
-  double batch_timeout_ms = 2.0;
 
-  /// 0 (default): the single-queue worker-pool runtime above. N >= 1:
-  /// the thread-per-core sharded runtime — the assembler thread becomes
-  /// a router that closes windows globally (same watermark geometry)
-  /// and forwards each closed window, via consistent hashing on the
-  /// window's head symbol, to one of N shard workers. Each shard owns a
-  /// single-producer/single-consumer work ring, a completion ring, its
-  /// own nn::InferenceContext, and one worker thread pinned to a core
-  /// (best-effort). The router merges completions strictly by dispatch
-  /// sequence, so marks, matches, and accounting are byte-identical to
-  /// num_shards = 0 and to batch Evaluate at every shard count.
-  /// num_threads is ignored in sharded mode (parallelism = N).
+  /// 0 (default): the assembler marks each closed window inline and
+  /// merges it before the next window's overload decision. N >= 1:
+  /// window `seq` is marked by shard seq % N — one worker thread per
+  /// shard, pinned (best-effort) to core k mod hardware concurrency,
+  /// with its own work/completion rings and nn::InferenceContext.
+  /// Pinning failures (no affinity API, cgroup cpuset) are recorded in
+  /// ShardStats::pinned and otherwise ignored. Marks, matches, and
+  /// accounting are byte-identical at every shard count.
   size_t num_shards = 0;
-
-  /// Sharded mode: pin shard worker k to core (k mod hardware
-  /// concurrency). Failures (no affinity API, cgroup cpuset) are
-  /// recorded in ShardStats and otherwise ignored.
-  bool pin_shard_threads = true;
 
   /// Serve-layer hooks (src/serve). collect_relayed copies the
   /// deduplicated relayed events (merge order) and the sorted
@@ -172,7 +147,7 @@ struct OnlineConfig {
 
   /// Exact-CEP engine for the end-of-run extraction. kAdaptive lets a
   /// cost model over per-engine EngineStats pick the cheapest engine
-  /// per pattern: the router feeds every closed window into a decayed
+  /// per pattern: the assembler feeds every closed window into a decayed
   /// per-type frequency estimator, the choice is re-evaluated every
   /// engine_options.adaptive_reselect_windows windows, and the decision
   /// trail lands in dlacep_engine_selected_total{engine,pattern} and
@@ -238,46 +213,59 @@ class OnlineDlacep {
   /// on restore/config errors — CLI paths use the Status overload.
   OnlineResult Run(StreamSource* source);
 
-  /// Like Run(), but surfaces checkpoint-restore and configuration
-  /// errors as a Status instead of aborting.
+  /// Like Run(), but surfaces checkpoint-restore, configuration, and
+  /// extraction errors (e.g. an engine_options partial-match budget
+  /// blown: kBudgetExceeded) as a Status instead of aborting. Returns
+  /// only after the producer and every shard thread have joined.
   Status Run(StreamSource* source, OnlineResult* result);
 
   const OnlineConfig& config() const { return config_; }
 
  private:
-  struct DoneWindow {
+  /// A closed window with the assembler's decisions taken: the
+  /// overload level it runs under and whether it is a recovery probe.
+  struct WindowTask {
+    size_t seq = 0;            ///< dispatch sequence (the merge order)
     size_t begin = 0;
-    std::vector<int> marks;
-    int level = 0;             ///< overload level the window ran under
+    int level = 0;
+    bool probe = false;        ///< shadow-marked recovery probe
     double close_seconds = 0;  ///< run-clock time the watermark closed it
     std::shared_ptr<EventStream> events;
-    bool probe = false;        ///< shadow-marked recovery probe
-    bool timed_out = false;    ///< synthesized after a deadline abandon
+  };
+  /// A marked window, ready to merge.
+  struct DoneWindow {
+    size_t seq = 0;
+    size_t begin = 0;
+    std::vector<int> marks;
+    int level = 0;
+    double close_seconds = 0;
+    std::shared_ptr<EventStream> events;
+    bool probe = false;
+    bool timed_out = false;    ///< stand-in after a deadline abandon
     std::vector<int> shadow_marks;  ///< probe output (inspected only)
   };
   struct RunState;
 
   void CloseWindow(RunState* state, size_t begin, size_t end);
-  /// Dispatches the buffered micro-batch (if any) as one worker task
-  /// that marks every window with MarkBatchOnline and retires them as
-  /// individual DoneWindows under their own dispatch sequences.
-  void FlushBatch(RunState* state);
+  /// The one mark routine, shared by inline dispatch and ShardLoop:
+  /// marks `tasks` in order and appends one DoneWindow per task to
+  /// `out`. Degraded windows relay everything (a probe additionally
+  /// shadow-marks with the primary filter), shed windows use the
+  /// shedding fallback, and runs of adjacent level-0/1 windows mark
+  /// through one MarkBatchOnline call of up to batch_size windows.
+  /// `shard` (null inline) receives the per-call accounting.
+  void MarkWindows(std::span<WindowTask> tasks, InferenceContext* ctx,
+                   std::vector<DoneWindow>* out, ShardStats* shard,
+                   size_t shard_index) const;
   void MergeOne(RunState* state, DoneWindow window);
-  /// Merges every completed window that is next in window order;
-  /// blocks until `target_in_flight` or fewer windows remain pending.
-  /// With a mark deadline configured, an overdue window is abandoned:
-  /// a synthesized quarantined DoneWindow takes its place so a wedged
-  /// worker can never stall the merge line.
+  /// Sharded mode: merges every completed window that is next in
+  /// dispatch order, blocking until `target_in_flight` or fewer remain
+  /// pending. With a mark deadline configured, an overdue window is
+  /// abandoned: its quarantined stand-in merges in its place, so a
+  /// wedged shard can never stall the merge line. No-op inline.
   void DrainMerges(RunState* state, size_t target_in_flight);
-  /// Sharded-mode DrainMerges: the owner shard of the next sequence is
-  /// known from the pending map, and a shard's completion ring is
-  /// sequence-ordered (its worker is FIFO), so the cross-shard merge
-  /// pops exactly the owner's ring per step — same deadline-abandon and
-  /// stale-result semantics as the pool path.
-  void DrainMergesSharded(RunState* state, size_t target_in_flight);
   /// Shard worker body: burst-pops window tasks from the shard's work
-  /// ring, marks them (micro-batching adjacent batchable windows when
-  /// batch_size > 1), and burst-pushes completions.
+  /// ring, marks them with MarkWindows, and burst-pushes completions.
   void ShardLoop(RunState* state, size_t shard_index);
   /// Quiesces in-flight windows and atomically persists a checkpoint.
   void WriteCheckpointNow(RunState* state);
@@ -289,15 +277,9 @@ class OnlineDlacep {
   const StreamFilter* filter_;  ///< not owned
   size_t mark_size_;
   size_t step_size_;
-  size_t workers_;
   size_t num_shards_;
   size_t max_in_flight_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// Sharded mode: the symbol → owner-shard map (null when
-  /// num_shards_ == 0).
-  std::unique_ptr<ConsistentHashRing> hash_ring_;
-  /// One scratch arena per worker — pool slot 0 doubles as the inline
-  /// path's arena; in sharded mode slot k belongs to shard k — reused
+  /// One scratch arena per shard (slot 0 is the inline path's), reused
   /// across windows and runs.
   std::vector<std::unique_ptr<InferenceContext>> contexts_;
   /// Level-2 fallbacks, built once from the pattern/config.

@@ -1,5 +1,6 @@
 #include "runtime/stats.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -48,13 +49,16 @@ double LatencyHistogram::Percentile(double p) const {
       std::ceil(p / 100.0 * static_cast<double>(count_)));
   if (rank < 1) rank = 1;
   if (rank > count_) rank = count_;
+  // A bucket's upper bound can exceed every sample in it; the observed
+  // max is the tighter bound for the top bucket, so no percentile ever
+  // reports above max_seconds().
   uint64_t seen = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
     if (buckets_[i] == 0) continue;
     seen += buckets_[i];
-    if (seen >= rank) return BucketBound(i);
+    if (seen >= rank) return std::min(BucketBound(i), max_seconds_);
   }
-  return BucketBound(kBuckets - 1);
+  return max_seconds_;
 }
 
 std::string RuntimeStats::ToString() const {

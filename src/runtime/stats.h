@@ -44,8 +44,9 @@ class LatencyHistogram {
   static double BucketBound(size_t i);
 
   /// Upper bound (seconds) of the bucket containing the nearest-rank
-  /// percentile sample for `p` in [0, 100]. Returns 0 when empty. The
-  /// returned bound always belongs to a non-empty bucket.
+  /// percentile sample for `p` in [0, 100], clamped to max_seconds().
+  /// Returns 0 when empty. The returned bound always belongs to a
+  /// non-empty bucket and never exceeds the largest sample.
   double Percentile(double p) const;
 
  private:
@@ -64,8 +65,10 @@ struct OverloadTransition {
 };
 
 /// Per-shard accounting in the sharded runtime (num_shards >= 1).
+/// Windows are routed round-robin, so windows_routed differs by at
+/// most one across shards.
 /// Single-writer fields: `windows_routed` and `work_high_water` come
-/// from the router, the rest from the shard's worker thread; the
+/// from the assembler, the rest from the shard's worker thread; the
 /// snapshot is read only after the shard threads join.
 struct ShardStats {
   uint64_t windows_routed = 0;  ///< closed windows forwarded here
@@ -116,9 +119,10 @@ struct RuntimeStats {
 
   uint64_t drift_flags = 0;  ///< drift monitor firings (see drift.h)
 
-  /// One entry per shard when the sharded runtime ran (empty for the
-  /// legacy pool runtime). Sums to the global window counters: every
-  /// closed window is routed to exactly one shard.
+  /// One entry per shard when the sharded runtime ran (empty when the
+  /// assembler marked inline, num_shards = 0). Sums to the global
+  /// window counters: every closed window is routed to exactly one
+  /// shard.
   std::vector<ShardStats> shards;
 
   /// Watermark-close → merged-marks latency per window.

@@ -70,6 +70,9 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
     EXPECT_GT(exact.size(), 0u) << "seed " << seed << " finds no matches; "
                                 << "the differential would be vacuous";
     for (const Geometry& g : geometries) {
+      // Batch at every worker count and online at every shard count
+      // each equal exact CEP, and their merged marks equal each other.
+      std::vector<EventId> reference_marks;
       for (size_t threads : {1u, 2u, 4u}) {
         DlacepConfig batch_config;
         batch_config.num_threads = threads;
@@ -81,10 +84,13 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
         const PipelineResult batch = pipeline.Evaluate(stream);
         ExpectSameMatches(batch.matches, exact);
         EXPECT_EQ(batch.marked_events, stream.size());
-
+        if (threads == 1) reference_marks = batch.marked_ids;
+        EXPECT_EQ(batch.marked_ids, reference_marks) << "threads=" << threads;
+      }
+      for (size_t shards : {0u, 1u, 2u, 4u}) {
         PassThroughFilter filter;
         OnlineConfig online_config;
-        online_config.num_threads = threads;
+        online_config.num_shards = shards;
         online_config.mark_size = g.mark;
         online_config.step_size = g.step;
         online_config.overload.enabled = false;
@@ -92,9 +98,9 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
         ReplaySource source(&stream);
         const OnlineResult result = online.Run(&source);
         ExpectSameMatches(result.matches, exact);
-        EXPECT_EQ(result.marked_ids, batch.marked_ids)
+        EXPECT_EQ(result.marked_ids, reference_marks)
             << "seed=" << seed << " mark=" << g.mark << " step=" << g.step
-            << " threads=" << threads;
+            << " shards=" << shards;
         EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
         EXPECT_EQ(result.stats.events_filtered, 0u);
       }
@@ -160,7 +166,7 @@ TEST(AccountingDifferential, LosslessRunCountersEqualStats) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   PassThroughFilter filter;
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   OnlineDlacep online(pattern, &filter, config);
   ReplaySource source(&stream);
@@ -198,7 +204,7 @@ TEST(AccountingDifferential, DroppingRunCountersEqualStats) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.max_windows_in_flight = 2;
   config.overload.enabled = true;
   config.overload.high_watermark = 0.5;
@@ -253,7 +259,7 @@ TEST(AccountingDifferential, QuarantineRunCountersEqualStats) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   FlakyFilter filter(/*bad_before=*/100);
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   config.health.probe_period = 2;
   config.health.probe_passes = 2;

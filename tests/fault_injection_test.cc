@@ -232,26 +232,29 @@ TEST(FaultInjection, InvalidMarksQuarantineDegradeAndRecover) {
   const OnlineResult exact = reference.Run(&ref_source);
 
   FlakyFilter flaky(/*bad_before=*/100);
-  OnlineConfig config;
-  config.num_threads = 2;
-  config.overload.enabled = false;
-  config.health.probe_period = 2;
-  config.health.probe_passes = 2;
-  OnlineDlacep online(pattern, &flaky, config);
-  ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  for (size_t shards : {0u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    OnlineConfig config;
+    config.num_shards = shards;
+    config.overload.enabled = false;
+    config.health.probe_period = 2;
+    config.health.probe_passes = 2;
+    OnlineDlacep online(pattern, &flaky, config);
+    ReplaySource source(&stream);
+    const OnlineResult result = online.Run(&source);
 
-  ExpectAccounted(result.stats);
-  EXPECT_GT(result.stats.windows_quarantined, 0u);
-  EXPECT_GT(result.stats.windows_degraded, 0u);
-  EXPECT_GE(result.stats.health_degrades, 1u);
-  EXPECT_GE(result.stats.health_recoveries, 1u);
-  // The flaky filter relays everything when healthy and the runtime
-  // relays everything while quarantined/degraded, so recall is 1.0:
-  // the match set equals exact CEP's.
-  EXPECT_EQ(result.matches.size(), exact.matches.size());
-  EXPECT_EQ(result.matches.IntersectionSize(exact.matches),
-            exact.matches.size());
+    ExpectAccounted(result.stats);
+    EXPECT_GT(result.stats.windows_quarantined, 0u);
+    EXPECT_GT(result.stats.windows_degraded, 0u);
+    EXPECT_GE(result.stats.health_degrades, 1u);
+    EXPECT_GE(result.stats.health_recoveries, 1u);
+    // The flaky filter relays everything when healthy and the runtime
+    // relays everything while quarantined/degraded, so recall is 1.0:
+    // the match set equals exact CEP's.
+    EXPECT_EQ(result.matches.size(), exact.matches.size());
+    EXPECT_EQ(result.matches.IntersectionSize(exact.matches),
+              exact.matches.size());
+  }
 }
 
 TEST(FaultInjection, WedgedWorkerIsAbandonedAtTheDeadline) {
@@ -264,9 +267,11 @@ TEST(FaultInjection, WedgedWorkerIsAbandonedAtTheDeadline) {
   plan.wedge_seconds = 0.3;
   FaultInjector injector(plan);
 
+  // Abandoning a window at its deadline needs it marked off the
+  // assembler thread: two shards, so window 2 wedges shard 0.
   PassThroughFilter pass;
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   config.health.mark_deadline_seconds = 0.05;
   config.worker_window_hook = [&injector](uint64_t seq) {
@@ -430,54 +435,58 @@ TEST(Checkpoint, TruncationIsRejected) {
 TEST(Checkpoint, KillAndRestoreIsByteIdenticalToUninterruptedRun) {
   const EventStream stream = SmallStream(900, 77);
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
-  const std::string dir = FreshDir("ck_restore");
 
-  // Run A: uninterrupted. The overload controller stays disabled: its
-  // pressure signals are wall-clock dependent, and this test pins exact
-  // byte equality across runs.
-  PassThroughFilter pass_a;
-  OnlineConfig config_a;
-  config_a.num_threads = 2;
-  config_a.overload.enabled = false;
-  OnlineDlacep online_a(pattern, &pass_a, config_a);
-  ReplaySource source_a(&stream);
-  const OnlineResult a = online_a.Run(&source_a);
+  for (size_t shards : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dir = FreshDir("ck_restore_" + std::to_string(shards));
 
-  // Run B: permanent source failure mid-stream ("kill"), with a final
-  // checkpoint written at abort.
-  FaultPlan plan;
-  plan.source_fail = true;
-  plan.fail_at = 500;
-  plan.fail_count = 0;
-  FaultInjector injector(plan);
-  auto source_b =
-      injector.WrapSource(std::make_unique<ReplaySource>(&stream));
-  PassThroughFilter pass_b;
-  OnlineConfig config_b = config_a;
-  config_b.checkpoint.dir = dir;
-  config_b.checkpoint.every_events = 128;
-  OnlineDlacep online_b(pattern, &pass_b, config_b);
-  OnlineResult b;
-  ASSERT_TRUE(online_b.Run(source_b.get(), &b).ok());
-  EXPECT_TRUE(b.stats.source_aborted);
-  ExpectAccounted(b.stats);
+    // Run A: uninterrupted. The overload controller stays disabled: its
+    // pressure signals are wall-clock dependent, and this test pins
+    // exact byte equality across runs.
+    PassThroughFilter pass_a;
+    OnlineConfig config_a;
+    config_a.num_shards = shards;
+    config_a.overload.enabled = false;
+    OnlineDlacep online_a(pattern, &pass_a, config_a);
+    ReplaySource source_a(&stream);
+    const OnlineResult a = online_a.Run(&source_a);
 
-  // Run C: restore from B's checkpoint over a fresh source.
-  PassThroughFilter pass_c;
-  OnlineConfig config_c = config_a;
-  config_c.checkpoint.dir = dir;
-  config_c.checkpoint.restore = true;
-  OnlineDlacep online_c(pattern, &pass_c, config_c);
-  ReplaySource source_c(&stream);
-  OnlineResult c;
-  ASSERT_TRUE(online_c.Run(&source_c, &c).ok());
+    // Run B: permanent source failure mid-stream ("kill"), with a final
+    // checkpoint written at abort.
+    FaultPlan plan;
+    plan.source_fail = true;
+    plan.fail_at = 500;
+    plan.fail_count = 0;
+    FaultInjector injector(plan);
+    auto source_b =
+        injector.WrapSource(std::make_unique<ReplaySource>(&stream));
+    PassThroughFilter pass_b;
+    OnlineConfig config_b = config_a;
+    config_b.checkpoint.dir = dir;
+    config_b.checkpoint.every_events = 128;
+    OnlineDlacep online_b(pattern, &pass_b, config_b);
+    OnlineResult b;
+    ASSERT_TRUE(online_b.Run(source_b.get(), &b).ok());
+    EXPECT_TRUE(b.stats.source_aborted);
+    ExpectAccounted(b.stats);
 
-  ExpectAccounted(c.stats);
-  EXPECT_EQ(c.stats.events_ingested, stream.size());
-  EXPECT_EQ(c.marked_ids, a.marked_ids);
-  EXPECT_EQ(c.marked_events, a.marked_events);
-  EXPECT_EQ(c.matches.size(), a.matches.size());
-  EXPECT_EQ(c.matches.IntersectionSize(a.matches), a.matches.size());
+    // Run C: restore from B's checkpoint over a fresh source.
+    PassThroughFilter pass_c;
+    OnlineConfig config_c = config_a;
+    config_c.checkpoint.dir = dir;
+    config_c.checkpoint.restore = true;
+    OnlineDlacep online_c(pattern, &pass_c, config_c);
+    ReplaySource source_c(&stream);
+    OnlineResult c;
+    ASSERT_TRUE(online_c.Run(&source_c, &c).ok());
+
+    ExpectAccounted(c.stats);
+    EXPECT_EQ(c.stats.events_ingested, stream.size());
+    EXPECT_EQ(c.marked_ids, a.marked_ids);
+    EXPECT_EQ(c.marked_events, a.marked_events);
+    EXPECT_EQ(c.matches.size(), a.matches.size());
+    EXPECT_EQ(c.matches.IntersectionSize(a.matches), a.matches.size());
+  }
 }
 
 TEST(Checkpoint, RestoreRefusesDroppingIngestAndMissingFiles) {

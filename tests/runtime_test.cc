@@ -152,8 +152,9 @@ TEST(LatencyHistogram, PercentileUsesCeilNearestRank) {
   for (int i = 0; i < 99; ++i) h.Record(0.9);  // 99 slow ones
   const double fast =
       LatencyHistogram::BucketBound(LatencyHistogram::BucketFor(1.5e-6));
-  const double slow =
-      LatencyHistogram::BucketBound(LatencyHistogram::BucketFor(0.9));
+  // The slow samples' bucket bound (~1.05s) exceeds every sample in it,
+  // so the top bucket reports the observed max instead.
+  const double slow = 0.9;
   // Nearest rank of p=1% over 100 samples is ceil(1) = 1 — the single
   // fast sample. The old round-half-up arithmetic produced rank 0 and
   // walked off the front of the histogram.
@@ -163,6 +164,15 @@ TEST(LatencyHistogram, PercentileUsesCeilNearestRank) {
   EXPECT_EQ(h.Percentile(50.0), slow);
   EXPECT_EQ(h.Percentile(100.0), slow);
   EXPECT_EQ(h.Percentile(200.0), slow);  // out-of-range p clamps
+
+  // Every sample in one bucket (0.256ms, 0.512ms]: the CLI once printed
+  // "p99 0.512ms … max 0.497ms". No percentile may exceed the max.
+  LatencyHistogram tail;
+  for (int i = 0; i < 99; ++i) tail.Record(0.3e-3);
+  tail.Record(0.497e-3);
+  EXPECT_EQ(tail.Percentile(99.0), 0.497e-3);
+  EXPECT_EQ(tail.Percentile(50.0), 0.497e-3);
+  EXPECT_EQ(tail.Percentile(99.0), tail.max_seconds());
 }
 
 TEST(LatencyHistogram, PercentileSkipsEmptyBuckets) {
@@ -170,8 +180,7 @@ TEST(LatencyHistogram, PercentileSkipsEmptyBuckets) {
   h.Record(1e-6);  // bucket 0
   h.Record(1.0);   // a high bucket; everything in between stays empty
   const double fast = LatencyHistogram::BucketBound(0);
-  const double slow =
-      LatencyHistogram::BucketBound(LatencyHistogram::BucketFor(1.0));
+  const double slow = 1.0;  // the top bucket's bound clamps to the max
   EXPECT_EQ(h.Percentile(50.0), fast);  // rank 1 of 2
   EXPECT_EQ(h.Percentile(51.0), slow);  // rank 2 of 2
   // Every answer must be a non-empty bucket's bound — never one of the
@@ -200,13 +209,14 @@ struct EqualityCase {
   size_t step_size = 0;
 };
 
-// Runs the online runtime at several thread counts and checks marks,
-// relayed-event counts, and matches against the batch pipeline result.
+// Runs the online runtime inline and at several shard counts and checks
+// marks, relayed-event counts, and matches against the batch pipeline
+// result.
 void CheckOnlineMatchesBatch(const EqualityCase& c,
                              const PipelineResult& batch) {
-  for (size_t threads : {1u, 2u, 4u}) {
+  for (size_t shards : {0u, 1u, 2u, 4u}) {
     OnlineConfig config;
-    config.num_threads = threads;
+    config.num_shards = shards;
     config.queue_capacity = 64;
     config.mark_size = c.mark_size;
     config.step_size = c.step_size;
@@ -215,10 +225,9 @@ void CheckOnlineMatchesBatch(const EqualityCase& c,
     ReplaySource source(c.stream);
     const OnlineResult result = online.Run(&source);
 
-    EXPECT_EQ(result.marked_ids, batch.marked_ids)
-        << "threads=" << threads;
+    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "shards=" << shards;
     EXPECT_EQ(result.marked_events, batch.marked_events)
-        << "threads=" << threads;
+        << "shards=" << shards;
     ExpectSameMatches(result.matches, batch.matches);
 
     EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
@@ -331,33 +340,31 @@ TEST(OnlineEquality, EmptyStream) {
 }
 
 // ---------------------------------------------------------------------
-// Micro-batched filtration (batch_size > 1): the batch-collection stage
-// may only delay WHEN a window is marked, never change its marks or its
-// merge position, so every (threads × batch_size) cell must stay
-// byte-identical to the per-window batch pipeline.
+// Micro-batched filtration (batch_size > 1): grouping a shard's backlog
+// into one filter call may only change HOW a window is marked, never
+// its marks or its merge position, so every (shards × batch_size) cell
+// must stay byte-identical to the per-window batch pipeline. Inline
+// marking (shards = 0) ignores batch_size and is the control.
 
 void CheckOnlineBatchedMatchesBatch(const EqualityCase& c,
                                     const PipelineResult& batch) {
-  for (size_t threads : {1u, 2u, 4u}) {
+  for (size_t shards : {0u, 1u, 2u, 4u}) {
     for (size_t batch_size : {2u, 4u, 7u}) {
       OnlineConfig config;
-      config.num_threads = threads;
+      config.num_shards = shards;
       config.queue_capacity = 64;
       config.mark_size = c.mark_size;
       config.step_size = c.step_size;
       config.overload.enabled = false;
       config.batch_size = batch_size;
-      // Generous timeout: with an unthrottled ReplaySource batches fill
-      // before the timer can split them.
-      config.batch_timeout_ms = 250.0;
       OnlineDlacep online(*c.pattern, c.filter, config);
       ReplaySource source(c.stream);
       const OnlineResult result = online.Run(&source);
 
       EXPECT_EQ(result.marked_ids, batch.marked_ids)
-          << "threads=" << threads << " batch_size=" << batch_size;
+          << "shards=" << shards << " batch_size=" << batch_size;
       EXPECT_EQ(result.marked_events, batch.marked_events)
-          << "threads=" << threads << " batch_size=" << batch_size;
+          << "shards=" << shards << " batch_size=" << batch_size;
       ExpectSameMatches(result.matches, batch.matches);
       EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
       EXPECT_EQ(result.stats.events_dropped_queue, 0u);
@@ -401,50 +408,45 @@ TEST(OnlineBatching, PartialBatchFlushesAtEndOfStream) {
   const PipelineResult batch =
       BatchReference(c, std::make_unique<PassThroughFilter>());
 
-  // batch_size larger than the whole window count and the flush timer
-  // disabled: nothing can dispatch until merge pressure / end of stream
-  // forces it. The run must still terminate and match byte for byte.
+  // batch_size larger than the whole window count: a batch can never
+  // fill, so every filter call marks a partial one, the last at end of
+  // stream. The run must still terminate and match byte for byte.
   OnlineConfig config;
   config.mark_size = c.mark_size;
   config.step_size = c.step_size;
   config.overload.enabled = false;
   config.batch_size = 1000;
-  config.batch_timeout_ms = 0.0;
-  for (size_t threads : {1u, 4u}) {
-    config.num_threads = threads;
+  for (size_t shards : {0u, 1u, 4u}) {
+    config.num_shards = shards;
     OnlineDlacep online(pattern, &filter, config);
     ReplaySource source(&stream);
     const OnlineResult result = online.Run(&source);
-    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "threads=" << threads;
+    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "shards=" << shards;
     ExpectSameMatches(result.matches, batch.matches);
     EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
   }
 }
 
-TEST(OnlineBatching, TimeoutFlushesPartialBatchInMergeOrder) {
-  const EventStream stream = SmallStream(240, 81);
+// ---------------------------------------------------------------------
+// Extraction errors.
+
+TEST(OnlineExtraction, BudgetExceededIsAStatusNotAnAbort) {
+  const EventStream stream = SmallStream(300, 41);
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  const PipelineResult batch =
-      BatchReference(c, std::make_unique<PassThroughFilter>());
-
-  // Throttle the source so windows close slower than the flush timer:
-  // every batch is flushed by timeout while partial, which exercises the
-  // timed-pop path without changing any result (flush timing only picks
-  // the grouping; merge order is pinned by dispatch sequence).
-  OnlineConfig config;
-  config.num_threads = 2;
-  config.overload.enabled = false;
-  config.batch_size = 8;
-  config.batch_timeout_ms = 1.0;
-  OnlineDlacep online(pattern, &filter, config);
-  ReplaySource source(&stream, /*events_per_second=*/4000.0);
-  const OnlineResult result = online.Run(&source);
-  EXPECT_EQ(result.marked_ids, batch.marked_ids);
-  EXPECT_EQ(result.marked_events, batch.marked_events);
-  ExpectSameMatches(result.matches, batch.matches);
-  EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
+  for (size_t shards : {0u, 2u}) {
+    OnlineConfig config;
+    config.num_shards = shards;
+    config.overload.enabled = false;
+    config.engine_options.partial_match_budget = 1;
+    OnlineDlacep online(pattern, &filter, config);
+    ReplaySource source(&stream);
+    OnlineResult result;
+    const Status status = online.Run(&source, &result);
+    EXPECT_EQ(status.code(), StatusCode::kBudgetExceeded)
+        << "shards=" << shards << ": " << status.ToString();
+    EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -538,7 +540,7 @@ TEST(OnlineOverload, EscalatesRecoversAndAccountsEveryEvent) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;  // above capacity: count drops
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.max_windows_in_flight = 2;
   config.overload.enabled = true;
   config.overload.high_watermark = 0.5;
@@ -660,9 +662,8 @@ class SlowSeqFilter : public StreamFilter {
 // (high_watermark above any possible fill fraction), so escalations in
 // these tests come from the window-latency EWMA alone.
 OnlineConfig LatencySignalOnlyConfig() {
-  OnlineConfig config;
-  config.num_threads = 1;  // in-order inline marking: window latencies
-                           // are exactly the per-window mark costs
+  OnlineConfig config;  // num_shards = 0: inline marking, so window
+                        // latencies are exactly the per-window mark costs
   config.overload.enabled = true;
   config.overload.high_watermark = 2.0;
   config.overload.latency_high_seconds = 0.05;
@@ -719,8 +720,6 @@ TEST(OnlineOverload, DisabledControllerStaysLossyButLevelZero) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;
-  config.num_threads = 1;
-  config.max_windows_in_flight = 1;
   config.overload.enabled = false;
   OnlineDlacep online(pattern, &filter, config);
 

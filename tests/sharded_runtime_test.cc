@@ -1,21 +1,20 @@
 // Sharded runtime tests: the thread-per-core sharded OnlineDlacep
 // (OnlineConfig::num_shards >= 1) must be byte-identical — marks,
-// matches, accounting, overload/health trajectories — to the legacy
-// worker-pool runtime and to the batch pipeline at EVERY shard count.
+// matches, accounting, overload/health trajectories — to inline marking
+// (num_shards = 0) and to the batch pipeline at EVERY shard count.
 // Routing is an implementation detail; only throughput may change.
 //
-// Also covers the ConsistentHashRing (determinism, coverage, minimal
-// remap on growth), window routing keys, per-shard stats aggregation,
-// and checkpoint kill-and-restore across runtime modes. The whole file
-// must pass under TSan (see the CI sanitizer job).
+// Also covers round-robin balance, per-shard stats aggregation, and
+// checkpoint kill-and-restore across shard counts. The whole file must
+// pass under TSan (see the CI sanitizer job).
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "runtime/checkpoint.h"
 #include "runtime/fault_injection.h"
 #include "runtime/online.h"
-#include "runtime/shard.h"
 #include "runtime/source.h"
 #include "stream/stocksim.h"
 #include "test_util.h"
@@ -43,74 +41,11 @@ void ExpectSameMatches(const MatchSet& a, const MatchSet& b) {
 }
 
 // ---------------------------------------------------------------------
-// ConsistentHashRing.
-
-TEST(ConsistentHashRing, DeterministicAndInRange) {
-  const ConsistentHashRing a(4);
-  const ConsistentHashRing b(4);
-  for (TypeId symbol = -1; symbol < 500; ++symbol) {
-    const size_t shard = a.ShardFor(symbol);
-    EXPECT_LT(shard, 4u);
-    EXPECT_EQ(shard, b.ShardFor(symbol)) << "symbol=" << symbol;
-  }
-}
-
-TEST(ConsistentHashRing, EveryShardOwnsSomeSymbols) {
-  const ConsistentHashRing ring(8);
-  std::set<size_t> seen;
-  for (TypeId symbol = 0; symbol < 5000; ++symbol) {
-    seen.insert(ring.ShardFor(symbol));
-  }
-  EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(ConsistentHashRing, SingleShardOwnsEverything) {
-  const ConsistentHashRing ring(1);
-  for (TypeId symbol = -1; symbol < 100; ++symbol) {
-    EXPECT_EQ(ring.ShardFor(symbol), 0u);
-  }
-}
-
-TEST(ConsistentHashRing, GrowthRemapsOnlyToTheNewShard) {
-  // The consistent-hashing contract: adding shard 4 may steal keys from
-  // the existing shards, but every key that moves must move TO the new
-  // shard (vnode points are independent of the shard count, so only a
-  // new vnode can change a key's successor), and only a minority of
-  // keys move at all.
-  const ConsistentHashRing before(4);
-  const ConsistentHashRing after(5);
-  size_t moved = 0;
-  const TypeId kKeys = 2000;
-  for (TypeId symbol = 0; symbol < kKeys; ++symbol) {
-    const size_t old_shard = before.ShardFor(symbol);
-    const size_t new_shard = after.ShardFor(symbol);
-    if (old_shard != new_shard) {
-      ++moved;
-      EXPECT_EQ(new_shard, 4u) << "symbol=" << symbol;
-    }
-  }
-  EXPECT_GT(moved, 0u);
-  // Expected move fraction is 1/5; modulo hashing would move ~4/5.
-  EXPECT_LT(moved, static_cast<size_t>(kKeys) / 2);
-}
-
-TEST(WindowRoutingSymbol, HeadNonBlankSymbolOrBlank) {
-  EventStream window(MakeStockSchema(4));
-  EXPECT_EQ(WindowRoutingSymbol(window), kBlankType);  // empty
-  window.AppendBlank(0.0);
-  EXPECT_EQ(WindowRoutingSymbol(window), kBlankType);  // all blank
-  window.Append(2, 1.0, {5.0});
-  window.Append(0, 2.0, {6.0});
-  EXPECT_EQ(WindowRoutingSymbol(window), 2);  // first non-blank wins
-}
-
-// ---------------------------------------------------------------------
 // Byte-equality across shard counts (the tentpole contract).
 
 /// SEQ(S0 a, S1 b) with an ascending-volume condition — a two-symbol
 /// pattern over the stock schema, so type-shedding has irrelevant
-/// traffic to drop and the exchange stage sees symbol sets that span
-/// shards at every shard count.
+/// traffic to drop.
 Pattern StockSeqPattern(std::shared_ptr<const Schema> schema,
                         size_t window) {
   PatternBuilder builder(std::move(schema));
@@ -146,8 +81,9 @@ class VolGateFilter : public StreamFilter {
   double gate_;
 };
 
-/// A Zipf-skewed stock stream: hot symbols concentrate on few shards,
-/// which is exactly the routing regime that must not perturb output.
+/// A Zipf-skewed stock stream: hot symbols dominate most windows, a
+/// content skew that routing must neither follow nor let perturb the
+/// output.
 EventStream ZipfStream() {
   StockSimConfig config;
   config.num_events = 4000;
@@ -178,8 +114,8 @@ PipelineResult BatchReference(const EqualityCase& c,
 
 // Runs the sharded runtime at several shard counts and checks marks,
 // relayed-event counts, matches, accounting, and per-shard stats
-// aggregation against the batch pipeline result (which the legacy
-// runtime is already pinned to by tests/runtime_test.cc).
+// aggregation against the batch pipeline result (which inline marking
+// is already pinned to by tests/runtime_test.cc).
 void CheckShardedMatchesBatch(const EqualityCase& c,
                               const PipelineResult& batch) {
   for (size_t shards : {1u, 2u, 4u, 8u}) {
@@ -205,14 +141,21 @@ void CheckShardedMatchesBatch(const EqualityCase& c,
 
     // Per-shard accounting must aggregate to the global counters: every
     // closed window routed to exactly one shard and marked exactly once.
+    // Round-robin routing keeps the shards within one window of each
+    // other, whatever the stream's symbol skew.
     ASSERT_EQ(result.stats.shards.size(), shards);
     uint64_t routed = 0;
     uint64_t marked = 0;
+    uint64_t least = result.stats.shards.front().windows_routed;
+    uint64_t most = least;
     for (const ShardStats& s : result.stats.shards) {
       routed += s.windows_routed;
       marked += s.windows_marked;
+      least = std::min(least, s.windows_routed);
+      most = std::max(most, s.windows_routed);
       EXPECT_LE(s.windows_marked, s.windows_routed);
     }
+    EXPECT_LE(most - least, 1u) << "shards=" << shards;
     EXPECT_EQ(routed, result.stats.windows_closed) << "shards=" << shards;
     EXPECT_EQ(marked, result.stats.windows_closed) << "shards=" << shards;
   }
@@ -309,9 +252,8 @@ TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
   base.overload.dwell_windows = 2;
   base.overload.shedding = SheddingPolicy::kRandom;
 
-  OnlineConfig legacy = base;
-  legacy.num_threads = 2;
-  const OnlineResult reference = RunOnline(stream, pattern, &filter, legacy);
+  // Reference: inline marking (num_shards = 0).
+  const OnlineResult reference = RunOnline(stream, pattern, &filter, base);
 
   // Windows 0..1 run at level 0, 1..2 boosted, everything after shed.
   EXPECT_EQ(reference.stats.overload_escalations, 2u);
@@ -370,9 +312,10 @@ class PoisonWindowFilter : public StreamFilter {
 };
 
 TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
-  // max_windows_in_flight = 1 serializes close → mark → merge, so the
-  // degraded/probe trajectory (which depends on merge-vs-close order)
-  // is a pure function of the window index in every mode. The poisoned
+  // max_windows_in_flight = 1 serializes close → mark → merge, as
+  // inline marking always does, so the degraded/probe trajectory (which
+  // depends on merge-vs-close order) is a pure function of the window
+  // index at every shard count. The poisoned
   // begins (windows 3 and 40 of the 16-step geometry) each force one
   // quarantine + degrade; probes recover well before the next poison.
   const EventStream stream = SmallStream(2000, 55);
@@ -389,9 +332,8 @@ TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
   base.health.probe_period = 4;
   base.health.probe_passes = 2;
 
-  OnlineConfig legacy = base;
-  legacy.num_threads = 2;
-  const OnlineResult reference = RunOnline(stream, pattern, &filter, legacy);
+  // Reference: inline marking (num_shards = 0).
+  const OnlineResult reference = RunOnline(stream, pattern, &filter, base);
 
   EXPECT_EQ(reference.stats.windows_quarantined, 2u);
   EXPECT_EQ(reference.stats.health_degrades, 2u);
@@ -439,14 +381,13 @@ TEST(ShardedCheckpoint, KillAndRestoreMatchesLegacyUninterruptedRun) {
   // Checkpoints are written quiescently (all shards drained), so the
   // snapshot carries no shard-count state: a sharded run killed
   // mid-stream restores into another sharded run and finishes
-  // byte-identical to a legacy-pool run that was never interrupted.
+  // byte-identical to an inline run that was never interrupted.
   const EventStream stream = SmallStream(900, 77);
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   const std::string dir = FreshDir("ck_sharded_restore");
 
   PassThroughFilter pass_a;
-  OnlineConfig config_a;
-  config_a.num_threads = 2;
+  OnlineConfig config_a;  // inline marking
   config_a.overload.enabled = false;
   OnlineDlacep online_a(pattern, &pass_a, config_a);
   ReplaySource source_a(&stream);

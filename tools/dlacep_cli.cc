@@ -15,14 +15,14 @@
 //       set through the sharded online runtime and the match sets are
 //       cross-checked.
 //   replay    --query Q --data F.csv [--filter KIND] [--rate R]
-//             [--queue_capacity N] [--num_threads N | --shards N]
+//             [--queue_capacity N] [--shards N] [--batch_size N]
 //             [--drop 0|1]
 //       Stream a CSV through the online runtime (bounded ingest queue,
-//       worker pool or thread-per-core shards, overload control) and
-//       print RuntimeStats at exit. --shards N >= 1 selects the sharded
-//       runtime (consistent-hash routing, per-shard rings, core
-//       pinning; --pin 0 disables the pinning); output is byte-identical
-//       to --num_threads mode at any N.
+//       window marking, overload control) and print RuntimeStats at
+//       exit. --shards 0 (default) marks each window inline on the
+//       assembler thread; --shards N >= 1 sends window k to core-pinned
+//       shard k mod N, where --batch_size groups a shard's backlog into
+//       batched filter calls. Output is byte-identical at any N.
 //   serve     --query Q [--events N] [--symbols N] [--seed S]
 //             [--filter KIND] [--rate R] [--queue_capacity N] ...
 //       Like replay, but the source is live stock-market simulation.
@@ -61,6 +61,7 @@
 // from --train, so pass the same training stream used with --save.
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -117,6 +118,25 @@ class Args {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
+  /// A non-negative integer flag of at least `min`; rejects negative,
+  /// non-numeric, and out-of-range values.
+  StatusOr<size_t> GetCount(const std::string& name, size_t fallback,
+                            size_t min = 0) const {
+    if (!Has(name)) return fallback;
+    const std::string text = Get(name);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value =
+        text.empty() || text[0] < '0' || text[0] > '9'
+            ? 0
+            : std::strtoull(text.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || errno == ERANGE || value < min) {
+      return Status::InvalidArgument(
+          "--" + name + " needs an integer >= " + std::to_string(min) +
+          ", got '" + text + "'");
+    }
+    return static_cast<size_t>(value);
+  }
   long GetInt(const std::string& name, long fallback) const {
     return Has(name) ? std::strtol(Get(name).c_str(), nullptr, 10)
                      : fallback;
@@ -145,15 +165,13 @@ int Usage() {
                "       [--save model.bin | --load model.bin]\n"
                "  dlacep replay --query Q --data F.csv [--filter KIND]\n"
                "       [--rate EV_PER_SEC] [--queue_capacity N]"
-               " [--num_threads N | --shards N [--pin 0|1]]\n"
-               "       [--batch_size N] [--batch_timeout_ms MS]\n"
+               " [--shards N] [--batch_size N]\n"
                "       [--drop 0|1] [--overload 0|1] [--train F.csv]\n"
                "  dlacep serve --query Q [--events N] [--symbols N]"
                " [--seed S]\n"
                "       [--filter KIND] [--rate EV_PER_SEC]"
                " [--queue_capacity N]\n"
-               "       [--num_threads N | --shards N [--pin 0|1]]"
-               " [--batch_size N] [--batch_timeout_ms MS]\n"
+               "       [--shards N] [--batch_size N]\n"
                "       [--drop 0|1] [--overload 0|1]"
                " [--train F.csv]\n"
                "  (online filter KINDs: pass | type-shed | random-shed |"
@@ -267,10 +285,52 @@ int RunQuery(const Args& args) {
   return 0;
 }
 
+StatusOr<OnlineConfig> MakeOnlineConfig(const Args& args) {
+  OnlineConfig config;
+  auto queue_capacity = args.GetCount("queue_capacity", 1024, /*min=*/1);
+  auto batch_size = args.GetCount("batch_size", 1);
+  auto shards = args.GetCount("shards", 0);
+  for (const auto* count : {&queue_capacity, &batch_size, &shards}) {
+    if (!count->ok()) return count->status();
+  }
+  config.queue_capacity = queue_capacity.value();
+  config.batch_size = batch_size.value();
+  config.num_shards = shards.value();
+  config.drop_when_full = args.GetInt("drop", 0) != 0;
+  config.overload.enabled = args.GetInt("overload", 1) != 0;
+  config.drift.enabled = args.Has("drift_reference");
+  config.drift.reference_rate = args.GetDouble("drift_reference", 0.0);
+  config.health.enabled = args.GetInt("health", 1) != 0;
+  config.health.mark_deadline_seconds = args.GetDouble("deadline", 0.0);
+  config.health.anomaly_streak =
+      static_cast<size_t>(args.GetInt("anomaly_streak", 0));
+  config.health.probe_period =
+      static_cast<size_t>(args.GetInt("probe_period", 8));
+  config.health.probe_passes =
+      static_cast<size_t>(args.GetInt("probe_passes", 3));
+  config.checkpoint.dir = args.Get("checkpoint_dir");
+  config.checkpoint.every_events =
+      static_cast<uint64_t>(args.GetInt("checkpoint_every", 0));
+  config.checkpoint.restore = args.GetInt("restore", 0) != 0;
+  const std::string engine = args.Get("engine", "nfa");
+  config.engine = engine == "tree"       ? EngineKind::kTree
+                  : engine == "lazy"     ? EngineKind::kLazy
+                  : engine == "adaptive" ? EngineKind::kAdaptive
+                                         : EngineKind::kNfa;
+  return config;
+}
+
 int CompareMulti(const Args& args, const EventStream& train,
                  const EventStream& test);
 
 int Compare(const Args& args) {
+  // The online runtime's counts (--shards, --batch_size) are checked
+  // before anything loads or trains.
+  const auto online = MakeOnlineConfig(args);
+  if (!online.ok()) {
+    std::fprintf(stderr, "%s\n", online.status().ToString().c_str());
+    return 2;
+  }
   auto train = LoadStream(args.Get("train"));
   auto test = LoadStream(args.Get("test"));
   if (!train.ok() || !test.ok()) {
@@ -344,7 +404,7 @@ int Compare(const Args& args) {
   // with the same trained filter and cross-check it against the batch
   // matches — the byte-equality contract, exercised end to end from the
   // CLI.
-  const long shards = args.GetInt("shards", 0);
+  const size_t shards = online.value().num_shards;
   if (shards > 0) {
     const Status online_ok = OnlineDlacep::ValidateForOnline(pattern.value());
     if (!online_ok.ok()) {
@@ -352,7 +412,7 @@ int Compare(const Args& args) {
       return 1;
     }
     OnlineConfig online_config;
-    online_config.num_shards = static_cast<size_t>(shards);
+    online_config.num_shards = shards;
     online_config.batch_size = config.batch_size;
     online_config.overload.enabled = false;  // lossless, like the batch run
     OnlineDlacep online(pattern.value(), &built.pipeline->filter(),
@@ -363,7 +423,7 @@ int Compare(const Args& args) {
         streamed.matches.size() == result.dlacep.matches.size() &&
         streamed.matches.IntersectionSize(result.dlacep.matches) ==
             result.dlacep.matches.size();
-    std::printf("\nsharded replay  : %ld shards\n", shards);
+    std::printf("\nsharded replay  : %zu shards\n", shards);
     std::printf("  events/sec    : %.0f\n",
                 streamed.stats.elapsed_seconds > 0
                     ? static_cast<double>(test.value().size()) /
@@ -437,37 +497,20 @@ StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
   return out;
 }
 
-OnlineConfig MakeOnlineConfig(const Args& args) {
-  OnlineConfig config;
-  config.queue_capacity =
-      static_cast<size_t>(args.GetInt("queue_capacity", 1024));
-  config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
-  config.drop_when_full = args.GetInt("drop", 0) != 0;
-  config.overload.enabled = args.GetInt("overload", 1) != 0;
-  config.drift.enabled = args.Has("drift_reference");
-  config.drift.reference_rate = args.GetDouble("drift_reference", 0.0);
-  config.health.enabled = args.GetInt("health", 1) != 0;
-  config.health.mark_deadline_seconds = args.GetDouble("deadline", 0.0);
-  config.health.anomaly_streak =
-      static_cast<size_t>(args.GetInt("anomaly_streak", 0));
-  config.health.probe_period =
-      static_cast<size_t>(args.GetInt("probe_period", 8));
-  config.health.probe_passes =
-      static_cast<size_t>(args.GetInt("probe_passes", 3));
-  config.checkpoint.dir = args.Get("checkpoint_dir");
-  config.checkpoint.every_events =
-      static_cast<uint64_t>(args.GetInt("checkpoint_every", 0));
-  config.checkpoint.restore = args.GetInt("restore", 0) != 0;
-  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
-  config.batch_timeout_ms = args.GetDouble("batch_timeout_ms", 2.0);
-  config.num_shards = static_cast<size_t>(args.GetInt("shards", 0));
-  config.pin_shard_threads = args.GetInt("pin", 1) != 0;
-  const std::string engine = args.Get("engine", "nfa");
-  config.engine = engine == "tree"       ? EngineKind::kTree
-                  : engine == "lazy"     ? EngineKind::kLazy
-                  : engine == "adaptive" ? EngineKind::kAdaptive
-                                         : EngineKind::kNfa;
-  return config;
+/// Replay/serve flag check, run before any file is read or thread
+/// started: removed runtime flags point to --shards, and every count
+/// must parse as a non-negative integer.
+Status CheckOnlineFlags(const Args& args) {
+  for (const char* removed : {"num_threads", "batch_timeout_ms", "pin"}) {
+    if (args.Has(removed)) {
+      return Status::InvalidArgument(
+          std::string("--") + removed +
+          " was removed: the online runtime marks inline (--shards 0) or "
+          "on N core-pinned shards (--shards N)");
+    }
+  }
+  const auto config = MakeOnlineConfig(args);
+  return config.ok() ? Status::Ok() : config.status();
 }
 
 /// End-of-run recall-loss warning: nonzero means the engine's legacy
@@ -502,7 +545,8 @@ int StreamOnline(const Args& args, const Pattern& pattern,
     return 1;
   }
   FaultInjector injector(plan.value());
-  OnlineConfig config = MakeOnlineConfig(args);
+  // Replay/Serve ran CheckOnlineFlags before calling in.
+  OnlineConfig config = MakeOnlineConfig(args).value();
   // Fail with a Status instead of the extractor's CHECK when the chosen
   // engine rejects this pattern shape (tree/lazy cover SEQ/CONJ/DISJ
   // only; nfa and adaptive accept everything).
@@ -738,7 +782,7 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
   }
 
   serve::ServeConfig config;
-  config.online = MakeOnlineConfig(args);
+  config.online = MakeOnlineConfig(args).value();  // checked by the caller
   config.query_pm_budget =
       static_cast<uint64_t>(args.GetInt("query_pm_budget", 0));
   config.query_deadline_seconds =
@@ -962,7 +1006,10 @@ int CompareMulti(const Args& args, const EventStream& train,
   serve::QueryRegistry registry;
   for (size_t q = 0; q < patterns.value().size(); ++q) {
     serve::QueryOptions options;
-    options.name = "q" + std::to_string(q);
+    // Two steps: gcc 12 reports a false -Wrestrict on "q" + string&&
+    // once this function is inlined into Compare.
+    options.name = "q";
+    options.name += std::to_string(q);
     options.engine = ParseEngineKind(args);
     auto id = registry.Register(patterns.value()[q], options);
     if (!id.ok()) {
@@ -975,7 +1022,7 @@ int CompareMulti(const Args& args, const EventStream& train,
   // evaluator's 2W/W over the widest query) and disable overload, so the
   // three match sets are byte-comparable.
   serve::ServeConfig config;
-  config.online = MakeOnlineConfig(args);
+  config.online = MakeOnlineConfig(args).value();  // checked by Compare
   config.online.overload.enabled = false;
   config.online.mark_size = 2 * multi.max_window();
   config.online.step_size = multi.max_window();
@@ -1014,6 +1061,10 @@ int CompareMulti(const Args& args, const EventStream& train,
 }
 
 int Replay(const Args& args) {
+  if (const Status flags = CheckOnlineFlags(args); !flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 2;
+  }
   auto stream = LoadStream(args.Get("data"));
   if (!stream.ok()) {
     std::fprintf(stderr, "%s\n", stream.status().ToString().c_str());
@@ -1041,6 +1092,10 @@ int Replay(const Args& args) {
 }
 
 int Serve(const Args& args) {
+  if (const Status flags = CheckOnlineFlags(args); !flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.ToString().c_str());
+    return 2;
+  }
   StockSimConfig sim;
   sim.num_events = static_cast<size_t>(args.GetInt("events", 20000));
   sim.num_symbols = static_cast<size_t>(args.GetInt("symbols", 50));
